@@ -19,7 +19,10 @@ and counts observations and errors per bin:
   guards protect the context tables from first-base flits that have no
   dinucleotide context);
 * a drain phase streams all four SPMs back to memory through SPM Readers
-  in drain mode and Memory Writers.
+  in drain mode and Memory Writers.  Its cycles depend only on the SPM
+  sizes, the memory configuration and the engine mode — never on the
+  counts — so :func:`drain_spms` simulates it once per key and replays
+  the recorded statistics afterwards.
 
 The host merges per-partition results into per-read-group
 :class:`repro.gatk.bqsr.CovariateTables` and runs the quality-score update
@@ -28,6 +31,7 @@ sub-stage in software, as in the paper.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -187,11 +191,30 @@ def configure_bqsr_streams(pipe: Pipeline, partition: Table) -> None:
     meta_reader.set_stream(meta_flits)
 
 
-def drain_spms(
+#: Process-local memo of drain simulations, keyed on :func:`drain_key`.
+#: Forked workers inherit it; a racing miss only stores equal stats twice.
+_DRAIN_MEMO: Dict[tuple, RunStats] = {}
+
+
+def drain_key(
+    spms: BqsrSpms, memory_config: Optional[MemoryConfig] = None
+) -> tuple:
+    """Everything the drain's statistics depend on: the four SPM sizes,
+    the memory parameters (``None`` normalizes to the default config)
+    and the engine mode ``Engine.run`` will pick."""
+    config = memory_config or MemoryConfig()
+    return (
+        tuple(len(spm) for spm in spms.all()),
+        (config.channels, config.access_bytes, config.latency_cycles),
+        Engine.default_mode,
+    )
+
+
+def simulate_drain(
     spms: BqsrSpms, memory_config: Optional[MemoryConfig] = None
 ) -> RunStats:
-    """The drain phase: stream all four SPMs to memory (Figure 12's SPM
-    Reader -> Memory Writer tails).  Returns the drain cycle statistics."""
+    """Simulate the drain phase on a fresh engine (the un-memoized
+    oracle behind :func:`drain_spms`)."""
     engine = Engine(MemorySystem(memory_config))
     for index, spm in enumerate(spms.all()):
         reader = engine.add_module(
@@ -204,12 +227,34 @@ def drain_spms(
     return engine.run()
 
 
+def drain_spms(
+    spms: BqsrSpms, memory_config: Optional[MemoryConfig] = None
+) -> RunStats:
+    """The drain phase: stream all four SPMs to memory (Figure 12's SPM
+    Reader -> Memory Writer tails).  Returns the drain cycle statistics.
+
+    Drain-mode SPM Readers and Memory Writers never branch on word
+    values, the writers never stall, and memory arbitration is keyed on
+    ports, so the statistics are a function of :func:`drain_key` alone.
+    The first call per key simulates; later calls return a copy of the
+    recorded statistics whose ``wall_seconds`` is the replay's own host
+    time."""
+    t0 = time.perf_counter()
+    key = drain_key(spms, memory_config)
+    recorded = _DRAIN_MEMO.get(key)
+    if recorded is None:
+        stats = simulate_drain(spms, memory_config)
+        _DRAIN_MEMO[key] = stats.copy()
+        return stats
+    return recorded.copy(wall_seconds=time.perf_counter() - t0)
+
+
 @dataclass
 class BqsrAccelResult:
     """One partition's covariate counts plus simulation statistics.
 
-    ``run`` is ``None`` for partitions the scheduler never simulated
-    (empty partitions contribute all-zero count tables).
+    ``run`` and ``drain_stats`` are ``None`` for partitions the scheduler
+    never simulated (empty partitions contribute all-zero count tables).
     """
 
     total_cycle: np.ndarray
@@ -239,7 +284,6 @@ def run_bqsr_partition(
     ref_row: dict,
     read_length: int,
     memory_config: Optional[MemoryConfig] = None,
-    drain: bool = True,
     profiler=None,
 ) -> BqsrAccelResult:
     """Simulate the Figure 12 pipeline on one partition slice.
@@ -256,7 +300,7 @@ def run_bqsr_partition(
     if profiler is not None:
         profiler.attach(engine)
     stats = engine.run()
-    drain_stats = drain_spms(spms, memory_config) if drain else None
+    drain_stats = drain_spms(spms, memory_config)
     hazard_stalls = sum(
         module.hazard_stalls
         for module in pipe.modules.values()

@@ -52,7 +52,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -115,17 +115,6 @@ class CachedImage:
     stats: RunStats
 
 
-def _copy_stats(stats: RunStats) -> RunStats:
-    """A fresh RunStats equal to ``stats`` (own dict instances, so a
-    caller mutating one run's maps cannot corrupt the cache)."""
-    return replace(
-        stats,
-        flits_by_module=dict(stats.flits_by_module),
-        busy_by_module=dict(stats.busy_by_module),
-        starve_by_module=dict(stats.starve_by_module),
-    )
-
-
 class SpmImageCache:
     """Memoizes reference-SPM load simulations.
 
@@ -135,7 +124,8 @@ class SpmImageCache:
     ``(chrom, refpos, with_snp, memory parameters)`` and replayed.  A
     replay builds a fresh :class:`Scratchpad` (replicas never share the
     physical SPM) and returns a copy of the recorded statistics —
-    bit-identical to re-simulating the load, minus the host time.
+    bit-identical to re-simulating the load except ``wall_seconds``,
+    which is the replay's own host time.
     """
 
     def __init__(self, max_images: Optional[int] = None):
@@ -168,6 +158,7 @@ class SpmImageCache:
         with_snp: bool = False,
     ) -> Tuple[Scratchpad, RunStats]:
         """The cached equivalent of :func:`load_reference_spm`."""
+        t0 = time.perf_counter()
         key = self.key(ref_row, memory_config, with_snp)
         image = self._images.get(key)
         if image is None:
@@ -175,14 +166,14 @@ class SpmImageCache:
             spm, stats = load_reference_spm(
                 ref_row, memory_config, with_snp=with_snp
             )
-            self._store(key, CachedImage(words=spm.dump(), stats=stats))
+            self._store(key, CachedImage(words=spm.dump(), stats=stats.copy()))
             return spm, stats
         self.hits += 1
         self.cycles_saved += image.stats.cycles
         self._images.move_to_end(key)
         spm = Scratchpad("ref_spm", len(image.words))
         spm.load(image.words)
-        return spm, _copy_stats(image.stats)
+        return spm, image.stats.copy(wall_seconds=time.perf_counter() - t0)
 
     def _store(self, key: tuple, image: CachedImage) -> None:
         self._images[key] = image
@@ -374,7 +365,6 @@ class BqsrWaveDriver(WaveDriver):
     read_length: int
     memory_config: Optional[MemoryConfig] = None
     mode: Optional[str] = None
-    drain: bool = True
 
     stage = "bqsr"
     uses_reference = True
@@ -393,9 +383,7 @@ class BqsrWaveDriver(WaveDriver):
 
     def harvest(self, context, stats, load_stats) -> BqsrAccelResult:
         pipe, spms = context
-        drain_stats = (
-            drain_spms(spms, self.memory_config) if self.drain else None
-        )
+        drain_stats = drain_spms(spms, self.memory_config)
         hazard_stalls = sum(
             module.hazard_stalls
             for module in pipe.modules.values()

@@ -122,8 +122,7 @@ def measure_cycles_per_base(
             if part.num_rows == 0:
                 continue
             result = run_bqsr_partition(
-                part, workload.reference.lookup(pid), workload.read_length,
-                drain=False,
+                part, workload.reference.lookup(pid), workload.read_length
             )
             total_cycles += result.run.stats.cycles
             total_bases += count_bases(part)
@@ -172,9 +171,7 @@ def figure13_per_chromosome(
             result = run_metadata_update(part, ref_row)
             cycles = result.run.stats.cycles
         elif stage == "bqsr_table":
-            result = run_bqsr_partition(
-                part, ref_row, workload.read_length, drain=False
-            )
+            result = run_bqsr_partition(part, ref_row, workload.read_length)
             cycles = result.run.stats.cycles
         else:
             raise KeyError("per-chromosome supports metadata/bqsr_table")
@@ -295,7 +292,7 @@ def profile_stage(
             )
             run_bqsr_partition(
                 part, workload.reference.lookup(pid), workload.read_length,
-                memory_config, drain=False, profiler=profiler,
+                memory_config, profiler=profiler,
             )
             extra = {"stage": stage, "partition": str(pid),
                      "reads": part.num_rows}

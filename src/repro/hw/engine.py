@@ -42,7 +42,7 @@ starve tallies) naturally differ — that difference is the measured win.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Dict, List, Optional
 
@@ -76,6 +76,19 @@ class RunStats:
     ticks_executed: int = 0
     ticks_possible: int = 0
     fast_forward_cycles: int = 0
+
+    def copy(self, **changes) -> "RunStats":
+        """A fresh RunStats equal to this one with ``changes`` applied.
+
+        The per-module maps are new dict instances, so a caller mutating
+        one copy cannot corrupt another (or a memoized original)."""
+        fields = {
+            "flits_by_module": dict(self.flits_by_module),
+            "busy_by_module": dict(self.busy_by_module),
+            "starve_by_module": dict(self.starve_by_module),
+        }
+        fields.update(changes)
+        return replace(self, **fields)
 
     def throughput(self, flits: int) -> float:
         """Flits per cycle for a given flit count."""

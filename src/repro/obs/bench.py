@@ -38,6 +38,7 @@ import json
 import os
 import re
 import statistics
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -152,6 +153,26 @@ def _probe_device_parallelism(context: BenchContext) -> float:
         devices=context.devices, workers=1,
     )
     return stats.host_parallelism
+
+
+def bqsr_stage_run(context: BenchContext):
+    """The BQSR covariate stage over the context's read-group partitions
+    (one serial ``run_partitioned`` call, SPM drains included)."""
+    from ..accel.scheduler import BqsrWaveDriver, run_partitioned
+
+    driver = BqsrWaveDriver(
+        reference=context.workload.reference,
+        read_length=context.workload.read_length,
+    )
+    return run_partitioned(
+        driver, context.workload.group_partitions, context.pipelines
+    )
+
+
+def _probe_bqsr_stage_seconds(context: BenchContext) -> float:
+    t0 = time.perf_counter()
+    bqsr_stage_run(context)
+    return time.perf_counter() - t0
 
 
 def _cycles_per_base(context: BenchContext, stage: str) -> float:
@@ -281,6 +302,13 @@ DEFAULT_SUITE: Dict[str, Probe] = {
             lambda context: _cycles_per_base(context, "bqsr_table"),
             "cycles/base", False,
             "sustained BQSR covariate cycles per base (deterministic)",
+        ),
+        Probe(
+            "bqsr_stage_seconds",
+            _probe_bqsr_stage_seconds,
+            "s", False,
+            "host seconds of the BQSR covariate stage over the read-group "
+            "partitions, SPM drains included",
         ),
         Probe(
             "sql_backend_speedup",

@@ -192,6 +192,24 @@ def test_spm_cache_replay_bit_identical(sched_workload):
         assert warm_res[pid].uq == cold_res[pid].uq
 
 
+def test_spm_cache_hit_reports_its_own_host_time(sched_workload):
+    """A hit replays every recorded field except ``wall_seconds``, which
+    is the replay's host time, not the original simulation's."""
+    pid, _part = next(
+        (pid, part) for pid, part in sched_workload.partitions if part.num_rows
+    )
+    ref_row = sched_workload.reference.lookup(pid)
+    cache = SpmImageCache()
+    _spm, miss = cache.load(ref_row)
+    miss_fields = miss.copy(wall_seconds=0.0)
+    miss.flits_by_module.clear()  # the caller's copy, not the cache's
+    (image,) = cache.images().values()
+    image.stats.wall_seconds = 1e9
+    _spm, hit = cache.load(ref_row)
+    assert hit.wall_seconds < 1e9
+    assert hit.copy(wall_seconds=0.0) == miss_fields
+
+
 def test_spm_cache_seeds_worker_processes(sched_workload):
     """A warm parent cache must reach pool workers (no re-simulation in
     the fanned-out run either)."""
@@ -222,7 +240,6 @@ def test_spm_cache_shared_across_stages(sched_workload):
     bqsr = BqsrWaveDriver(
         reference=sched_workload.reference,
         read_length=sched_workload.read_length,
-        drain=False,
     )
     _res2, second = run_partitioned(
         bqsr, sched_workload.group_partitions, 4, spm_cache=cache
@@ -250,7 +267,6 @@ def test_bqsr_read_group_slices_share_images(sched_workload):
     driver = BqsrWaveDriver(
         reference=sched_workload.reference,
         read_length=sched_workload.read_length,
-        drain=False,
     )
     _res, stats = run_partitioned(driver, sched_workload.group_partitions, 8)
     assert stats.spm_cache_misses == len(segments)
